@@ -22,6 +22,8 @@
 
 #include "crypto/sha1.hpp"
 #include "crypto/uts_rng.hpp"
+#include "proto/chunk_stack.hpp"
+#include "proto/victim.hpp"
 #include "sim/engine.hpp"
 #include "sm/chase_lev.hpp"
 #include "support/alias_table.hpp"
@@ -31,9 +33,7 @@
 #include "uts/params.hpp"
 #include "uts/sequential.hpp"
 #include "uts/tree.hpp"
-#include "ws/chunk_stack.hpp"
 #include "ws/scheduler.hpp"
-#include "ws/victim.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator hook: every heap allocation in this binary goes through
@@ -163,7 +163,7 @@ void BM_VictimSelectors(benchmark::State& state) {
   ws::WsConfig cfg;
   cfg.victim_policy = static_cast<ws::VictimPolicy>(state.range(0));
   cfg.alias_table_max_ranks = static_cast<std::uint32_t>(state.range(1));
-  auto selector = ws::make_selector(cfg, 0, latency);
+  auto selector = proto::make_selector(cfg, 0, latency);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector->next());
   }
@@ -176,7 +176,7 @@ BENCHMARK(BM_VictimSelectors)
     ->Args({2, 16});    // tofu via rejection sampling
 
 void BM_ChunkStackChurn(benchmark::State& state) {
-  ws::ChunkStack stack(20);
+  proto::ChunkStack stack(20);
   const auto seed_node = uts::root_node(uts::tree_by_name("SIM200K"));
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) stack.push(seed_node);
@@ -250,7 +250,8 @@ BENCHMARK(BM_LatencyQuery);
 // ---------------------------------------------------------------------------
 
 struct CorePayload {
-  std::uint64_t words[4] = {0, 0, 0, 0};  // sizeof(ws::Message)-class payload
+  // A payload of the size class of proto::Message.
+  std::uint64_t words[4] = {0, 0, 0, 0};
 };
 
 struct CoreReport {
@@ -297,7 +298,8 @@ class CoreWorkload final : public sim::EventSink {
   void step(std::uint32_t actor) {
     if (++steps_ % 4 == 0) {
       // "Send": the payload parks in the slab pool and the event carries its
-      // handle, exactly like Network::send parking the in-flight ws::Message.
+      // handle, exactly like Network::send parking the in-flight
+      // proto::Message.
       const std::uint32_t dst = (actor * 2654435761u) % kActors;
       CorePayload payload;
       payload.words[0] = steps_;

@@ -38,14 +38,14 @@ std::vector<double> expected_distribution(const ws::WsConfig& config,
     case ws::VictimPolicy::kTofuSkewed: {
       // probability() is backend-independent (pure weights), so any
       // alias_table_max_ranks gives the same answer; pick the cheap one.
-      ws::TofuSkewedSelector selector(self, latency, config.seed, 1);
+      proto::TofuSkewedSelector selector(self, latency, config.seed, 1);
       for (topo::Rank j = 0; j < num_ranks; ++j) {
         p[j] = selector.probability(j);
       }
       return p;
     }
     case ws::VictimPolicy::kHierarchical: {
-      ws::HierarchicalSelector selector(self, latency, config.seed,
+      proto::HierarchicalSelector selector(self, latency, config.seed,
                                         config.hierarchical_local_tries,
                                         config.hierarchical_remote_tries);
       const auto& local = selector.local_set();
@@ -67,7 +67,8 @@ std::vector<double> expected_distribution(const ws::WsConfig& config,
       // A fresh selector has seen no feedback, so its live weights equal the
       // Tofu base and probability() — epsilon mix included — is exactly the
       // distribution the audit samples from below.
-      ws::AdaptiveSkewedSelector selector(self, latency, config.seed, config);
+      proto::AdaptiveSkewedSelector selector(self, latency, config.seed,
+                                             config);
       for (topo::Rank j = 0; j < num_ranks; ++j) {
         p[j] = selector.probability(j);
       }
@@ -78,7 +79,7 @@ std::vector<double> expected_distribution(const ws::WsConfig& config,
 }
 
 DistributionCheck check_selector_distribution(
-    ws::VictimSelector& selector, const std::vector<double>& expected,
+    proto::VictimSelector& selector, const std::vector<double>& expected,
     topo::Rank self, std::uint64_t samples, double min_p) {
   DWS_CHECK(samples > 0);
   DistributionCheck out;
@@ -143,8 +144,8 @@ DistributionCheck check_tofu_backends_agree(const ws::WsConfig& config,
                                             double min_p) {
   const topo::Rank n = latency.layout().num_ranks();
   // Thresholds forcing each backend regardless of the configured cutoff.
-  ws::TofuSkewedSelector alias(self, latency, config.seed, n);
-  ws::TofuSkewedSelector rejection(self, latency, config.seed + 1, 1);
+  proto::TofuSkewedSelector alias(self, latency, config.seed, n);
+  proto::TofuSkewedSelector rejection(self, latency, config.seed + 1, 1);
   DWS_CHECK(alias.uses_alias_table());
   DWS_CHECK(!rejection.uses_alias_table());
 

@@ -4,9 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "proto/victim.hpp"
 #include "topo/latency.hpp"
 #include "ws/config.hpp"
-#include "ws/victim.hpp"
 
 namespace dws::audit {
 
@@ -38,11 +38,9 @@ std::vector<double> expected_distribution(const ws::WsConfig& config,
 /// expected count < 5 are pooled, the classic validity rule. ok iff the
 /// p-value is at least `min_p` and no victim outside the distribution's
 /// support (expected 0, e.g. self) was drawn.
-DistributionCheck check_selector_distribution(ws::VictimSelector& selector,
-                                              const std::vector<double>& expected,
-                                              topo::Rank self,
-                                              std::uint64_t samples,
-                                              double min_p = 1e-6);
+DistributionCheck check_selector_distribution(
+    proto::VictimSelector& selector, const std::vector<double>& expected,
+    topo::Rank self, std::uint64_t samples, double min_p = 1e-6);
 
 /// The Tofu selector's two sampling backends (Walker alias table vs
 /// rejection) must agree: identical probability() vectors and a rejection-

@@ -9,9 +9,9 @@
 
 #include "crypto/sha1.hpp"
 #include "metrics/service_stats.hpp"
+#include "proto/victim.hpp"
 #include "support/check.hpp"
 #include "support/sim_time.hpp"
-#include "ws/victim.hpp"
 
 namespace dws::exp {
 namespace {
@@ -141,13 +141,13 @@ std::string canonical_config(const ws::RunConfig& c) {
     // matches — not the raw alias_table_max_ranks threshold, which can
     // differ without changing anything the simulation does.
     kv("ws.tofu_sampler",
-       ws::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
+       proto::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
   }
   if (c.ws.victim_policy == ws::VictimPolicy::kAdaptive) {
     // Same backend-not-threshold rule as ws.tofu_sampler; the feedback knobs
     // only shape behaviour when the adaptive selector is the one running.
     kv("ws.adaptive_sampler",
-       ws::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
+       proto::tofu_uses_alias(c.ws, c.num_ranks) ? "alias" : "rejection");
     kvd("ws.adapt_epsilon", c.ws.adapt_epsilon);
     kvu("ws.adapt_refresh_interval", c.ws.adapt_refresh_interval);
   }
@@ -232,7 +232,9 @@ std::string canonical_config(const ws::RunConfig& c) {
     if (c.svc.alloc == svc::AllocPolicy::kSpaceShare) {
       kvu("svc.ranks_per_job", c.svc.ranks_per_job);
     }
-    kv("svc.kind", svc::to_string(c.svc.kind));
+    // Every service job is a UTS tree; the key stays so service records
+    // and fingerprints keep their bytes.
+    kv("svc.kind", "uts");
     if (!c.svc.mix.empty()) {
       std::string mix;
       for (const svc::JobMixEntry& e : c.svc.mix) {

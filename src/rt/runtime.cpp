@@ -434,7 +434,8 @@ ws::RunResult Runtime::result() const {
 
 }  // namespace
 
-ws::RunResult run_native(const ws::RunConfig& config, ws::RunObserver* observer) {
+ws::RunResult run_native(const ws::RunConfig& config,
+                         proto::RunObserver* observer) {
   DWS_CHECK(config.num_ranks >= 1);
   // Simulator-only features (validate() rejects these for Backend::kRt; the
   // checks also guard direct callers).

@@ -19,7 +19,6 @@
 #include "svc/params.hpp"
 #include "topo/allocation.hpp"
 #include "topo/latency.hpp"
-#include "topo/partition.hpp"
 #include "ws/scheduler.hpp"
 
 /// Internal machinery of the service runtime (DESIGN.md §13). The shapes
@@ -127,8 +126,8 @@ struct JobRuntime {
 };
 
 /// A packaged steal response waiting out its victim-side handling delay
-/// (EventKind::kDeferredResponse; the svc twin of ws::PendingSend, with the
-/// destination already translated to a global rank).
+/// (EventKind::kDeferredResponse). It is what ws::PendingSend is to a
+/// single-job run, with the destination already translated to a global rank.
 struct PendingEnvelope {
   JobId job = 0;
   topo::Rank dst = 0;  ///< global thief rank
@@ -147,10 +146,11 @@ struct PendingTimer {
 
 class Controller;
 
-/// Per-shard execution context (serial runs are the one-shard case): the
-/// engine/network pair, the shared plan, and the slab pools backing event
-/// payloads. `controller` is non-null exactly on the shard owning global
-/// rank 0.
+/// Per-shard execution context (ws::run_shards builds one per shard; a
+/// serial run is the one-shard case): the engine/network pair, the shared
+/// plan, and the slab pools backing event payloads. `muxes` is the run-wide
+/// rank-indexed table; `controller` is non-null exactly on the shard owning
+/// global rank 0.
 struct ServiceContext {
   sim::Engine* engine = nullptr;
   SvcNetwork* network = nullptr;
@@ -242,7 +242,7 @@ class MuxWorker final : public sim::EventSink {
   void on_event(const sim::Event& ev) override;
   /// Network delivery entry point.
   void on_envelope(Envelope env);
-  /// Direct-call twins of the control envelopes, used by the controller for
+  /// Direct-call forms of the control envelopes, used by the controller for
   /// its own rank (the network forbids self-sends).
   void admit(const JobAdmit& a, support::SimTime now);
   void lease(const LeaseUpdate& u, support::SimTime now);
@@ -326,27 +326,5 @@ class Controller final : public sim::EventSink {
   std::vector<JobId> active_;         ///< sorted by id
   std::vector<JobId> lease_of_rank_;  ///< current owner per rank (kNoJob)
 };
-
-// ---- Internal seams between service.cpp and shard.cpp ----------------------
-
-/// Fold per-binding stats into per-rank and per-job results, running the
-/// always-on service audit (every binding done with an empty stack and no
-/// pre-admit messages parked; per-job chunks sent == received — work
-/// conservation under elastic grow/shrink). `muxes` is global-rank indexed
-/// and fully populated (the sharded caller stitches shards back together).
-/// Network/fault/engine statistics are the caller's to fill.
-ws::RunResult assemble_service_result(
-    const ws::RunConfig& config, const ServicePlan& plan,
-    const std::vector<JobRuntime>& runtimes,
-    const std::vector<const MuxWorker*>& muxes);
-
-/// Conservative-parallel execution of a service run (svc/shard.cpp), the
-/// svc twin of ws::run_sharded. Byte-identical results to the serial path
-/// for every configuration validate() admits.
-ws::RunResult run_service_sharded(const ws::RunConfig& config,
-                                  const ServicePlan& plan,
-                                  std::vector<JobRuntime>& runtimes,
-                                  sim::CongestionParams congestion,
-                                  topo::ShardPartition part);
 
 }  // namespace dws::svc

@@ -5,11 +5,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "support/check.hpp"
 #include "svc/mux.hpp"
-#include "topo/partition.hpp"
 #include "uts/sequential.hpp"
+#include "ws/shard.hpp"
 
 namespace dws::svc {
 
@@ -42,12 +41,15 @@ void fold_stats(metrics::RankStats& into, const metrics::RankStats& s) {
   into.finish_time = std::max(into.finish_time, s.finish_time);
 }
 
-}  // namespace
-
+/// Fold per-binding stats into per-rank and per-job results, running the
+/// always-on service audit (every binding done with an empty stack and no
+/// pre-admit messages parked; per-job chunks sent == received — work
+/// conservation under elastic grow/shrink). `muxes` is indexed by global
+/// rank. Network/fault/engine statistics are ws::run_shards' to fill.
 ws::RunResult assemble_service_result(
     const ws::RunConfig& config, const ServicePlan& plan,
     const std::vector<JobRuntime>& runtimes,
-    const std::vector<const MuxWorker*>& muxes) {
+    const std::vector<std::unique_ptr<MuxWorker>>& muxes) {
   ws::RunResult result;
   result.num_ranks = config.num_ranks;
   result.per_node_cost = config.ws.node_cost();
@@ -112,79 +114,76 @@ ws::RunResult assemble_service_result(
   return result;
 }
 
+/// ws::run_shards host for service runs: one MuxWorker per rank, plus the
+/// controller on the shard owning global rank 0 — every admission decision
+/// then flows from that shard's local event order (kSvcArrival and JobDone
+/// deliveries), which the merge rule makes shard-count invariant.
+class MuxHost {
+ public:
+  using Message = Envelope;
+  using Deliver = DeliverToMux;
+  using Context = ServiceContext;
+
+  MuxHost(const ws::RunConfig& config, const ServicePlan& plan)
+      : config_(config),
+        plan_(plan),
+        runtimes_(plan.jobs.size()),
+        muxes_(config.num_ranks) {}
+
+  Deliver deliver() { return DeliverToMux{&muxes_}; }
+
+  void populate(ServiceContext& ctx, const ws::ShardSlot<SvcNetwork>& slot) {
+    ctx.engine = &slot.engine;
+    ctx.network = &slot.network;
+    ctx.config = &config_;
+    ctx.plan = &plan_;
+    ctx.faults = slot.faults;
+    ctx.muxes = &muxes_;
+    ctx.runtimes = runtimes_.data();
+    for (topo::Rank r : slot.ranks) {
+      muxes_[r] = std::make_unique<MuxWorker>(r, ctx);
+    }
+    if (slot.ranks.front() == 0) {
+      controller_ = std::make_unique<Controller>(ctx);
+      ctx.controller = controller_.get();
+      // kSvcArrival events only ever live on this shard's engine.
+      controller_->schedule_arrivals();
+    }
+    contexts_.push_back(&ctx);
+  }
+
+  ws::RunResult finish() {
+    // Every job admitted and retired, no envelope or timer payload leaked.
+    // There is no global termination flag: the engines drain naturally once
+    // every job's protocol went quiet (plus any stale timers, which no-op).
+    DWS_CHECK(controller_->all_done());
+    DWS_CHECK(controller_->queued() == 0);
+    for (const ServiceContext* ctx : contexts_) {
+      DWS_CHECK(ctx->deferred.in_use() == 0);
+      DWS_CHECK(ctx->timers.in_use() == 0);
+    }
+    return assemble_service_result(config_, plan_, runtimes_, muxes_);
+  }
+
+ private:
+  const ws::RunConfig& config_;
+  const ServicePlan& plan_;
+  std::vector<JobRuntime> runtimes_;  ///< id-indexed, shared by every shard
+  std::vector<std::unique_ptr<MuxWorker>> muxes_;  ///< indexed by rank
+  std::unique_ptr<Controller> controller_;
+  std::vector<const ServiceContext*> contexts_;  ///< in shard order
+};
+
+}  // namespace
+
 ws::RunResult run_service(const ws::RunConfig& config) {
   DWS_CHECK(config.svc.enabled);
   DWS_CHECK(config.num_ranks >= 1);
 
   const ServicePlan plan(config);
-
-  // Congestion re-anchoring, exactly as ws::run_simulation does it.
-  sim::CongestionParams congestion = config.congestion;
-  if (congestion.enabled && config.congestion_scale > 0.0) {
-    congestion.capacity_hops =
-        config.congestion_scale * 5.0 *
-        static_cast<double>(config.num_ranks / config.procs_per_node);
-  }
-
-  std::vector<JobRuntime> runtimes(plan.jobs.size());
-
-  if (config.sim_shards > 1) {
-    topo::ShardPartition part =
-        topo::partition_ranks(plan.layout, config.latency, config.sim_shards);
-    if (part.num_shards > 1) {
-      return run_service_sharded(config, plan, runtimes, congestion,
-                                 std::move(part));
-    }
-  }
-
-  sim::Engine engine;
-  std::vector<std::unique_ptr<MuxWorker>> muxes;
-
-  fault::Injector injector(config.fault, config.num_ranks);
-  fault::Injector* faults = injector.enabled() ? &injector : nullptr;
-
-  SvcNetwork network(engine, plan.latency, DeliverToMux{&muxes}, congestion,
-                     faults);
-
-  ServiceContext ctx;
-  ctx.engine = &engine;
-  ctx.network = &network;
-  ctx.config = &config;
-  ctx.plan = &plan;
-  ctx.faults = faults;
-  ctx.muxes = &muxes;
-  ctx.runtimes = runtimes.data();
-
-  muxes.reserve(config.num_ranks);
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    muxes.push_back(std::make_unique<MuxWorker>(r, ctx));
-  }
-  Controller controller(ctx);
-  ctx.controller = &controller;
-  controller.schedule_arrivals();
-
-  // No global termination flag: the engine drains naturally once every
-  // job's protocol went quiet (plus any stale timers, which no-op).
-  engine.run();
-
-  DWS_CHECK(controller.all_done());
-  DWS_CHECK(controller.queued() == 0);
-  DWS_CHECK(ctx.deferred.in_use() == 0);
-  DWS_CHECK(ctx.timers.in_use() == 0);
-
-  std::vector<const MuxWorker*> mux_ptrs;
-  mux_ptrs.reserve(config.num_ranks);
-  for (const auto& m : muxes) mux_ptrs.push_back(m.get());
-
-  ws::RunResult result =
-      assemble_service_result(config, plan, runtimes, mux_ptrs);
-  result.network = network.stats();
-  result.faults = injector.stats();
-  result.engine_events = engine.events_executed();
-  result.engine_peak_pending = engine.max_pending();
-  result.shards_used = 1;
-  result.merge_ambiguities = engine.merge_ambiguities();
-  return result;
+  MuxHost host(config, plan);
+  return ws::run_shards(config, plan.layout, plan.latency, host,
+                        /*observer=*/nullptr);
 }
 
 ws::RunResult checked_service_run(const ws::RunConfig& config) {

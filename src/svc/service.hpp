@@ -22,9 +22,9 @@ namespace dws::svc {
 ws::RunResult run_service(const ws::RunConfig& config);
 
 /// run_service plus the per-job work-conservation oracle: every job's node
-/// and leaf totals must equal its tree's sequential enumeration — the svc
-/// twin of the audit harness's sequential oracle, covering elastic lease
-/// grow/shrink hand-offs.
+/// and leaf totals must equal its tree's sequential enumeration — the
+/// audit harness's sequential oracle applied per job, covering elastic
+/// lease grow/shrink hand-offs.
 ws::RunResult checked_service_run(const ws::RunConfig& config);
 
 }  // namespace dws::svc

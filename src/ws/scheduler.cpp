@@ -1,11 +1,10 @@
 #include "ws/scheduler.hpp"
 
 #include <memory>
-#include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "support/check.hpp"
-#include "topo/partition.hpp"
 #include "ws/shard.hpp"
 #include "ws/worker.hpp"
 
@@ -18,6 +17,82 @@ const char* to_string(Backend b) {
   }
   return "?";
 }
+
+namespace {
+
+/// run_shards host for single-job runs: one ws::Worker per rank, and the
+/// termination flag of the shard owning rank 0.
+class WorkerHost {
+ public:
+  using Message = proto::Message;
+  using Deliver = DeliverToWorkers;
+  using Context = RunContext;
+
+  WorkerHost(const RunConfig& config, const topo::LatencyModel& latency)
+      : config_(config), latency_(latency), workers_(config.num_ranks) {}
+
+  Deliver deliver() { return DeliverToWorkers{&workers_}; }
+
+  void populate(RunContext& ctx, const ShardSlot<WsNetwork>& slot) {
+    ctx.engine = &slot.engine;
+    ctx.network = &slot.network;
+    ctx.config = &config_.ws;
+    ctx.tree = &config_.tree;
+    ctx.latency = &latency_;
+    ctx.num_ranks = config_.num_ranks;
+    ctx.observer = slot.observer;
+    ctx.faults = slot.faults;
+    for (topo::Rank r : slot.ranks) {
+      workers_[r] = std::make_unique<Worker>(r, ctx);
+    }
+    // Ascending rank order: within a shard the kWorkerStart events get the
+    // same relative seq order at every shard count.
+    for (topo::Rank r : slot.ranks) {
+      slot.engine.schedule_at(0, *workers_[r], sim::EventKind::kWorkerStart,
+                              r);
+    }
+    if (slot.ranks.front() == 0) home_ = &ctx;
+  }
+
+  RunResult finish() {
+    // Post-run invariants: the token protocol must have fired, every worker
+    // must have drained its stack, and every shipped chunk must have landed.
+    DWS_CHECK(home_ != nullptr && home_->terminated);
+    RunResult result;
+    result.runtime = home_->termination_time;
+    result.num_ranks = config_.num_ranks;
+    result.per_node_cost = config_.ws.node_cost();
+    result.per_rank.reserve(config_.num_ranks);
+    std::uint64_t chunks_sent = 0;
+    std::uint64_t chunks_received = 0;
+    for (const auto& w : workers_) {
+      DWS_CHECK(w->done());
+      DWS_CHECK(w->stack_size() == 0);
+      chunks_sent += w->stats().chunks_sent;
+      chunks_received += w->stats().chunks_received;
+      result.nodes += w->stats().nodes_processed;
+      result.leaves += w->stats().leaves_seen;
+      result.per_rank.push_back(w->stats());
+    }
+    DWS_CHECK(chunks_sent == chunks_received);
+    result.stats = metrics::aggregate(result.per_rank);
+
+    if (config_.ws.record_trace) {
+      result.trace.total_time = result.runtime;
+      result.trace.ranks.reserve(config_.num_ranks);
+      for (const auto& w : workers_) result.trace.ranks.push_back(w->trace());
+    }
+    return result;
+  }
+
+ private:
+  const RunConfig& config_;
+  const topo::LatencyModel& latency_;
+  std::vector<std::unique_ptr<Worker>> workers_;  ///< indexed by rank
+  const RunContext* home_ = nullptr;  ///< the context of rank 0's shard
+};
+
+}  // namespace
 
 support::Status RunConfig::validate() const {
   if (num_ranks < 1) return support::Status::error("num_ranks must be >= 1");
@@ -190,10 +265,6 @@ support::Status RunConfig::validate() const {
           "(parked ranks refuse every steal, poisoning the feedback EWMAs "
           "with lease noise)");
     }
-    if (svc.kind == svc::JobKind::kDag) {
-      return support::Status::error(
-          "svc.kind=dag is a declared extension seam, not implemented yet");
-    }
     if (svc.arrival == svc::ArrivalKind::kPoisson) {
       if (svc.num_jobs < 1) {
         return support::Status::error("svc poisson arrivals need num_jobs >= 1");
@@ -262,97 +333,8 @@ RunResult run_simulation(const RunConfig& config, RunObserver* observer) {
   topo::JobLayout layout(config.machine, config.num_ranks, config.placement,
                          config.procs_per_node, config.origin_cube);
   topo::LatencyModel latency(layout, config.latency);
-
-  // Re-anchor the congestion capacity when it was requested as a scale of
-  // the allocation size and the ranks changed since (sweep axes do this).
-  // Resolved before the shard dispatch so the serial and sharded paths run
-  // the same model.
-  sim::CongestionParams congestion = config.congestion;
-  if (congestion.enabled && config.congestion_scale > 0.0) {
-    congestion.capacity_hops =
-        config.congestion_scale * 5.0 *
-        static_cast<double>(config.num_ranks / config.procs_per_node);
-  }
-
-  if (config.sim_shards > 1) {
-    topo::ShardPartition part =
-        topo::partition_ranks(layout, config.latency, config.sim_shards);
-    // A one-node job degenerates to one shard; fall through to the
-    // single-engine path rather than spinning up the window machinery.
-    if (part.num_shards > 1) {
-      return run_sharded(config, layout, latency, congestion, std::move(part),
-                         observer);
-    }
-  }
-
-  sim::Engine engine;
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(config.num_ranks);
-
-  // The injector lives for the whole run; network and workers share it. A
-  // null pointer (no faults) keeps the hot paths on their zero-cost branch.
-  fault::Injector injector(config.fault, config.num_ranks);
-  fault::Injector* faults = injector.enabled() ? &injector : nullptr;
-
-  WsNetwork network(engine, latency, DeliverToWorkers{&workers}, congestion,
-                    faults);
-
-  RunContext ctx;
-  ctx.engine = &engine;
-  ctx.network = &network;
-  ctx.config = &config.ws;
-  ctx.tree = &config.tree;
-  ctx.latency = &latency;
-  ctx.num_ranks = config.num_ranks;
-  ctx.observer = observer;
-  ctx.faults = faults;
-
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    workers.push_back(std::make_unique<Worker>(r, ctx));
-  }
-  for (topo::Rank r = 0; r < config.num_ranks; ++r) {
-    engine.schedule_at(0, *workers[r], sim::EventKind::kWorkerStart, r);
-  }
-
-  engine.run();
-
-  // Post-run invariants: the token protocol must have fired, every worker
-  // must have drained its stack, and every shipped chunk must have landed.
-  DWS_CHECK(ctx.terminated);
-  std::uint64_t chunks_sent = 0;
-  std::uint64_t chunks_received = 0;
-  for (const auto& w : workers) {
-    DWS_CHECK(w->done());
-    DWS_CHECK(w->stack_size() == 0);
-    chunks_sent += w->stats().chunks_sent;
-    chunks_received += w->stats().chunks_received;
-  }
-  DWS_CHECK(chunks_sent == chunks_received);
-
-  RunResult result;
-  result.runtime = ctx.termination_time;
-  result.num_ranks = config.num_ranks;
-  result.per_node_cost = config.ws.node_cost();
-  result.per_rank.reserve(config.num_ranks);
-  for (const auto& w : workers) {
-    result.nodes += w->stats().nodes_processed;
-    result.leaves += w->stats().leaves_seen;
-    result.per_rank.push_back(w->stats());
-  }
-  result.stats = metrics::aggregate(result.per_rank);
-  result.network = network.stats();
-  result.faults = injector.stats();
-  result.engine_events = engine.events_executed();
-  result.engine_peak_pending = engine.max_pending();
-  result.shards_used = 1;
-  result.merge_ambiguities = engine.merge_ambiguities();
-
-  if (config.ws.record_trace) {
-    result.trace.total_time = ctx.termination_time;
-    result.trace.ranks.reserve(config.num_ranks);
-    for (const auto& w : workers) result.trace.ranks.push_back(w->trace());
-  }
-  return result;
+  WorkerHost host(config, latency);
+  return run_shards(config, layout, latency, host, observer);
 }
 
 }  // namespace dws::ws

@@ -150,10 +150,6 @@ struct RunResult {
   double efficiency() const noexcept {
     return num_ranks > 0 ? speedup() / static_cast<double>(num_ranks) : 0.0;
   }
-  [[deprecated("num_ranks is stored in RunResult; use efficiency()")]]
-  double efficiency(topo::Rank ranks) const noexcept {
-    return speedup() / static_cast<double>(ranks);
-  }
 };
 
 }  // namespace dws::ws

@@ -2,12 +2,12 @@
 
 #include <utility>
 
+#include "proto/observer.hpp"
 #include "support/check.hpp"
-#include "ws/observer.hpp"
 
 namespace dws::ws {
 
-void DeliverToWorkers::operator()(topo::Rank dst, Message msg) const {
+void DeliverToWorkers::operator()(topo::Rank dst, proto::Message msg) const {
   (*workers)[dst]->on_message(std::move(msg));
 }
 
@@ -25,13 +25,13 @@ Worker::Worker(topo::Rank rank, RunContext& ctx)
 
 // ---- proto::Transport ------------------------------------------------------
 
-void Worker::send(topo::Rank to, Message msg, std::uint32_t bytes,
+void Worker::send(topo::Rank to, proto::Message msg, std::uint32_t bytes,
                   fault::MsgClass cls) {
   ctx_.network->send(rank_, to, std::move(msg), bytes, cls);
 }
 
 void Worker::send_deferred(support::SimTime delay, topo::Rank to,
-                           StealResponse resp, std::uint32_t bytes,
+                           proto::StealResponse resp, std::uint32_t bytes,
                            fault::MsgClass cls) {
   // Packaging happens at a poll boundary; the response enters the network
   // once this and the previously drained requests have been serviced.
@@ -171,8 +171,8 @@ support::SimTime Worker::drain_inbox() {
   // Index-based iteration keeps us safe against vector reallocation.
   for (std::size_t i = 0; i < inbox_.size(); ++i) {
     if (peer_.done()) break;  // a drained Terminate ends everything
-    Message msg = std::move(inbox_[i]);
-    if (const auto* req = std::get_if<StealRequest>(&msg)) {
+    proto::Message msg = std::move(inbox_[i]);
+    if (const auto* req = std::get_if<proto::StealRequest>(&msg)) {
       busy += ctx_.config->steal_handling_cost;
       peer_.on_steal_request(*req, ctx_.engine->now(), busy);
     } else {
@@ -183,13 +183,13 @@ support::SimTime Worker::drain_inbox() {
   return busy;
 }
 
-void Worker::on_message(Message msg) {
+void Worker::on_message(proto::Message msg) {
   if (peer_.done()) return;
   if (peer_.active()) {
     // One-sided steals bypass the victim's polling loop entirely: the
     // request is serviced at arrival, off the victim's critical path.
     if (ctx_.config->one_sided_steals) {
-      if (const auto* req = std::get_if<StealRequest>(&msg)) {
+      if (const auto* req = std::get_if<proto::StealRequest>(&msg)) {
         peer_.on_steal_request(*req, ctx_.engine->now(), 0);
         return;
       }

@@ -6,6 +6,9 @@
 #include "fault/fault.hpp"
 #include "metrics/rank_stats.hpp"
 #include "metrics/trace.hpp"
+#include "proto/chunk_stack.hpp"
+#include "proto/message.hpp"
+#include "proto/observer.hpp"
 #include "proto/peer.hpp"
 #include "proto/transport.hpp"
 #include "sim/engine.hpp"
@@ -14,10 +17,7 @@
 #include "sim/pool.hpp"
 #include "topo/latency.hpp"
 #include "uts/tree.hpp"
-#include "ws/chunk_stack.hpp"
 #include "ws/config.hpp"
-#include "ws/message.hpp"
-#include "ws/observer.hpp"
 
 namespace dws::ws {
 
@@ -27,16 +27,16 @@ class Worker;
 /// (not std::function) so Network's delivery dispatch is a direct call.
 struct DeliverToWorkers {
   std::vector<std::unique_ptr<Worker>>* workers = nullptr;
-  void operator()(topo::Rank dst, Message msg) const;
+  void operator()(topo::Rank dst, proto::Message msg) const;
 };
 
 /// The run's transport, typed on the direct-call delivery functor.
-using WsNetwork = sim::Network<Message, DeliverToWorkers>;
+using WsNetwork = sim::Network<proto::Message, DeliverToWorkers>;
 
 /// A packaged steal response waiting out its victim-side handling delay
 /// before entering the network (EventKind::kDeferredResponse).
 struct PendingSend {
-  StealResponse resp;
+  proto::StealResponse resp;
   topo::Rank thief = 0;
   std::uint32_t bytes = 0;
   /// Loss class for the eventual network send: work-carrying responses are
@@ -56,7 +56,7 @@ struct RunContext {
   topo::Rank num_ranks = 0;
 
   /// Optional passive instrumentation (observer.hpp); null when not auditing.
-  RunObserver* observer = nullptr;
+  proto::RunObserver* observer = nullptr;
 
   /// Non-null iff fault injection is active for this run (DESIGN.md §10):
   /// the network consults it per send; workers consult it for straggler
@@ -110,7 +110,7 @@ class Worker final : public sim::EventSink, private proto::Transport {
   void on_event(const sim::Event& ev) override;
 
   /// Network delivery entry point.
-  void on_message(Message msg);
+  void on_message(proto::Message msg);
 
   const metrics::RankStats& stats() const noexcept { return peer_.stats(); }
   const metrics::RankTrace& trace() const noexcept { return peer_.trace(); }
@@ -121,10 +121,11 @@ class Worker final : public sim::EventSink, private proto::Transport {
 
  private:
   // proto::Transport — the simulator side of the protocol seam.
-  void send(topo::Rank to, Message msg, std::uint32_t bytes,
+  void send(topo::Rank to, proto::Message msg, std::uint32_t bytes,
             fault::MsgClass cls) override;
-  void send_deferred(support::SimTime delay, topo::Rank to, StealResponse resp,
-                     std::uint32_t bytes, fault::MsgClass cls) override;
+  void send_deferred(support::SimTime delay, topo::Rank to,
+                     proto::StealResponse resp, std::uint32_t bytes,
+                     fault::MsgClass cls) override;
   void arm_steal_timer(support::SimTime delay,
                        std::uint32_t request_id) override;
   void arm_token_timer(support::SimTime delay,
@@ -142,7 +143,8 @@ class Worker final : public sim::EventSink, private proto::Transport {
   proto::Peer peer_;
 
   bool step_scheduled_ = false;
-  std::vector<Message> inbox_;  // arrived while expanding; drained at polls
+  // Arrived while expanding; drained at polls.
+  std::vector<proto::Message> inbox_;
 
   // Fault-layer compute perturbations, resolved once at construction.
   support::SimTime per_node_cost_ = 0;

@@ -17,6 +17,7 @@
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "svc/service.hpp"
+#include "topo/allocation.hpp"
 #include "uts/params.hpp"
 #include "ws/scheduler.hpp"
 
@@ -132,6 +133,30 @@ TEST(ServiceShard, FaultedServiceStreamIsShardCountInvariant) {
   cfg.ws.steal_timeout = 50'000;
   cfg.ws.token_timeout = 2'000'000;
   expect_service_shard_invariant(cfg);
+}
+
+TEST(ServiceShard, OneNodeStreamDegeneratesToTheSerialPathExactly) {
+  // A pool whose ranks all share one node partitions into a single shard;
+  // run_service must take the one-shard path and match an explicit
+  // sim_shards=1 run byte-for-byte, run row and job rows alike.
+  ws::RunConfig cfg = service_base();
+  cfg.num_ranks = 8;
+  cfg.placement = topo::Placement::kGrouped;
+  cfg.procs_per_node = 8;
+  cfg.svc.arrival = svc::ArrivalKind::kTrace;
+  cfg.svc.trace = {0, 100'000, 200'000};
+  cfg.svc.alloc = svc::AllocPolicy::kSpaceShare;
+  cfg.svc.ranks_per_job = 4;
+
+  const std::vector<std::string> blocks =
+      service_records_per_shard_count(cfg, {1, 8});
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0], blocks[1]);
+
+  cfg.sim_shards = 8;
+  const ws::RunResult result = svc::run_service(cfg);
+  EXPECT_EQ(result.shards_used, 1u);  // degenerated, not windowed
+  EXPECT_EQ(result.jobs.size(), 3u);
 }
 
 TEST(ServiceShard, JobRowsSurviveTheRecordRoundTrip) {

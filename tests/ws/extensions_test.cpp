@@ -2,10 +2,10 @@
 
 #include <tuple>
 
+#include "proto/victim.hpp"
 #include "topo/latency.hpp"
 #include "uts/sequential.hpp"
 #include "ws/scheduler.hpp"
-#include "ws/victim.hpp"
 
 namespace dws::ws {
 namespace {
@@ -20,7 +20,7 @@ TEST(Hierarchical, LocalPeersAreCoLocatedRanks) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 64, topo::Placement::kGrouped, 8);
   topo::LatencyModel latency(layout);
-  HierarchicalSelector s(0, latency, 1);
+  proto::HierarchicalSelector s(0, latency, 1);
   EXPECT_EQ(s.local_peers(), 7u);  // the other 7 ranks on node 0
 }
 
@@ -28,7 +28,7 @@ TEST(Hierarchical, FallsBackToCubePeersForOnePerNode) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 48, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  HierarchicalSelector s(0, latency, 1);
+  proto::HierarchicalSelector s(0, latency, 1);
   EXPECT_EQ(s.local_peers(), 11u);  // the other 11 nodes of the cube
 }
 
@@ -36,7 +36,7 @@ TEST(Hierarchical, NeverSelf) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 64, topo::Placement::kGrouped, 8);
   topo::LatencyModel latency(layout);
-  HierarchicalSelector s(5, latency, 3);
+  proto::HierarchicalSelector s(5, latency, 3);
   for (int i = 0; i < 5000; ++i) ASSERT_NE(s.next(), 5u);
 }
 
@@ -44,7 +44,7 @@ TEST(Hierarchical, PrefersLocalOnSchedule) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 64, topo::Placement::kGrouped, 8);
   topo::LatencyModel latency(layout);
-  HierarchicalSelector s(0, latency, 7, /*local_tries=*/2);
+  proto::HierarchicalSelector s(0, latency, 7, /*local_tries=*/2);
   int local = 0;
   const int draws = 9000;
   for (int i = 0; i < draws; ++i) {
@@ -62,7 +62,7 @@ TEST(Hierarchical, RemoteSetStrictlyExcludesLocalPeers) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 64, topo::Placement::kGrouped, 8);
   topo::LatencyModel latency(layout);
-  HierarchicalSelector s(5, latency, 1);
+  proto::HierarchicalSelector s(5, latency, 1);
   for (const topo::Rank r : s.remote_set()) {
     EXPECT_NE(r, 5u);
     EXPECT_FALSE(layout.same_node(5, r)) << r;
@@ -84,7 +84,7 @@ TEST(Hierarchical, MakeSelectorHonorsLocalTries) {
   cfg.victim_policy = VictimPolicy::kHierarchical;
   const auto local_fraction = [&](std::uint32_t tries) {
     cfg.hierarchical_local_tries = tries;
-    auto s = make_selector(cfg, 0, latency);
+    auto s = proto::make_selector(cfg, 0, latency);
     int local = 0;
     const int draws = 10000;
     for (int i = 0; i < draws; ++i) {
@@ -109,7 +109,7 @@ TEST(Hierarchical, MakeSelectorHonorsRemoteTries) {
   cfg.hierarchical_local_tries = 2;
   const auto local_fraction = [&](std::uint32_t remote) {
     cfg.hierarchical_remote_tries = remote;
-    auto s = make_selector(cfg, 0, latency);
+    auto s = proto::make_selector(cfg, 0, latency);
     int local = 0;
     const int draws = 12000;
     for (int i = 0; i < draws; ++i) {
@@ -126,7 +126,7 @@ TEST(Hierarchical, RemotePhaseCoversAllRanks) {
   topo::TofuMachine machine;
   topo::JobLayout layout(machine, 32, topo::Placement::kOnePerNode);
   topo::LatencyModel latency(layout);
-  HierarchicalSelector s(0, latency, 11);
+  proto::HierarchicalSelector s(0, latency, 11);
   std::vector<bool> seen(32, false);
   for (int i = 0; i < 20000; ++i) seen[s.next()] = true;
   for (topo::Rank r = 1; r < 32; ++r) EXPECT_TRUE(seen[r]) << r;
