@@ -25,7 +25,7 @@ class DagWorker;
 /// Direct-call delivery functor (mirrors ws::DeliverToWorkers).
 struct DeliverToDagWorkers {
   std::vector<std::unique_ptr<DagWorker>>* workers = nullptr;
-  void operator()(topo::Rank dst, Message msg) const;
+  void operator()(topo::Rank dst, Message&& msg) const;
 };
 
 using DagNetwork = sim::Network<Message, DeliverToDagWorkers>;
@@ -82,7 +82,7 @@ class DagWorker final : public sim::EventSink {
     }
   }
 
-  void on_message(Message msg) {
+  void on_message(Message&& msg) {
     if (done_) return;
     if (executing_) {
       inbox_.push_back(std::move(msg));  // polled at the next task boundary
@@ -264,7 +264,7 @@ class DagWorker final : public sim::EventSink {
   metrics::RankTrace trace_;
 };
 
-void DeliverToDagWorkers::operator()(topo::Rank dst, Message msg) const {
+void DeliverToDagWorkers::operator()(topo::Rank dst, Message&& msg) const {
   (*workers)[dst]->on_message(std::move(msg));
 }
 

@@ -29,7 +29,9 @@ void mark_ranks(std::vector<std::uint8_t>& flags, std::uint32_t count,
   for (std::uint32_t i = 0; i < n; ++i) pool[i] = i;
   support::Xoshiro256StarStar rng(seed);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t j = i + rng.next_below(n - i);
+    // next_below(n - i) < n - i <= UINT32_MAX, so the narrowing is exact.
+    const std::uint32_t j =
+        i + static_cast<std::uint32_t>(rng.next_below(n - i));
     std::swap(pool[i], pool[j]);
     flags[pool[i]] = 1;
   }

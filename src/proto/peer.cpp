@@ -49,7 +49,7 @@ void Peer::seed_root(const uts::TreeNode& root) {
   transport_.activated();
 }
 
-void Peer::on_message(Message msg, support::SimTime now) {
+void Peer::on_message(Message&& msg, support::SimTime now) {
   std::visit(
       [this, now](auto&& m) {
         using T = std::decay_t<decltype(m)>;

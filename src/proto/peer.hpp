@@ -92,7 +92,7 @@ class Peer final {
   void on_out_of_work(support::SimTime now);
   /// Inbound message dispatch. Steal requests are served with zero
   /// packaging delay; use on_steal_request directly to charge one.
-  void on_message(Message msg, support::SimTime now);
+  void on_message(Message&& msg, support::SimTime now);
   /// A steal request whose response should leave after `send_delay` (the
   /// victim-side packaging time accumulated at this poll boundary).
   void on_steal_request(const StealRequest& req, support::SimTime now,

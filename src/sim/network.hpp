@@ -1,11 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,7 +26,8 @@ struct NetworkStats {
   double max_load_hops = 0.0;
   /// Peak number of (src, dst) channels with a delivery in flight. Channel
   /// ordering state is retired as soon as its last delivery fires, so this
-  /// bounds the non-overtaking map instead of the all-pairs worst case.
+  /// bounds the non-overtaking ChannelTable's live entries instead of the
+  /// all-pairs worst case.
   std::uint64_t peak_channels = 0;
 };
 
@@ -108,6 +109,117 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
   return congestion.window > 0 ? congestion.window : latency.network_base;
 }
 
+/// The non-overtaking state of a Network: (src, dst) channel key ->
+/// {last arrival, deliveries in flight}, for channels with at least one
+/// delivery in flight. A flat open-addressed table — power-of-two slots,
+/// linear probing, backward-shift deletion — so a send and its delivery
+/// touch one contiguous slot run and never the allocator. It doubles when
+/// half full and never shrinks, so once it has grown to a run's high-water
+/// mark the steady state is allocation-free.
+///
+/// Keys are (src << 32) | dst with 32-bit ranks below UINT32_MAX, so the
+/// all-ones key is never a live channel and marks an empty slot.
+class ChannelTable {
+ public:
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+  static constexpr std::size_t kInitialSlots = 16;
+  static_assert(std::has_single_bit(kInitialSlots));
+
+  ChannelTable() : slots_(kInitialSlots) {}
+
+  /// Counts one more delivery on channel `key` (opening the channel if it
+  /// has none in flight) and returns `arrival` clamped to the channel's
+  /// previous arrival — MPI non-overtaking.
+  support::SimTime admit(std::uint64_t key, support::SimTime arrival) {
+    DWS_DCHECK(key != kEmptyKey);
+    std::size_t i = home(key);
+    for (;; i = next(i)) {
+      Slot& slot = slots_[i];
+      if (slot.key == key) {
+        if (arrival < slot.last_arrival) arrival = slot.last_arrival;
+        slot.last_arrival = arrival;
+        ++slot.in_flight;
+        return arrival;
+      }
+      if (slot.key == kEmptyKey) break;
+    }
+    if (2 * (size_ + 1) > capacity()) {
+      grow();
+      i = home(key);
+      while (slots_[i].key != kEmptyKey) i = next(i);
+    }
+    slots_[i] = Slot{key, arrival, 1};
+    ++size_;
+    return arrival;
+  }
+
+  /// Counts down one delivery on channel `key`; the channel closes (its
+  /// slot empties) when no delivery remains in flight.
+  void retire(std::uint64_t key) {
+    std::size_t i = home(key);
+    while (slots_[i].key != key) {
+      DWS_CHECK(slots_[i].key != kEmptyKey);
+      i = next(i);
+    }
+    DWS_DCHECK(slots_[i].in_flight > 0);
+    if (--slots_[i].in_flight == 0) erase_at(i);
+  }
+
+  /// Live channels.
+  std::size_t size() const noexcept { return size_; }
+  /// Slot count (a power of two).
+  std::size_t capacity() const noexcept { return slots_.size(); }
+  /// The slot where `key`'s probe starts at the current capacity.
+  std::size_t home(std::uint64_t key) const noexcept {
+    std::uint64_t h = key ^ (key >> 32);
+    h *= 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(h >> shift_);
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = kEmptyKey;
+    support::SimTime last_arrival = 0;
+    std::uint32_t in_flight = 0;
+  };
+
+  std::size_t next(std::size_t i) const noexcept { return (i + 1) & mask_; }
+
+  /// Backward-shift deletion: walk the cluster after the hole and pull back
+  /// every entry whose probe path crosses the hole, so lookups never need
+  /// tombstones.
+  void erase_at(std::size_t hole) {
+    for (std::size_t j = next(hole); slots_[j].key != kEmptyKey; j = next(j)) {
+      const std::size_t from_home = (j - home(slots_[j].key)) & mask_;
+      if (from_home >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].key = kEmptyKey;
+    --size_;
+  }
+
+  void grow() {
+    std::vector<Slot> old(capacity() * 2);
+    old.swap(slots_);
+    mask_ = capacity() - 1;
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.key == kEmptyKey) continue;
+      std::size_t i = home(slot.key);
+      while (slots_[i].key != kEmptyKey) i = next(i);
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::size_t mask_ = kInitialSlots - 1;
+  /// 64 - log2(capacity): home() keeps the product's top bits.
+  unsigned shift_ = 64 - std::countr_zero(kInitialSlots);
+};
+
 /// Point-to-point message transport between simulated ranks.
 ///
 /// Models what the paper's UTS implementation gets from MPI two-sided
@@ -127,9 +239,15 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
 /// Channel lifecycle: the non-overtaking clamp needs a channel's previous
 /// arrival time only while a delivery is still in flight — once the last one
 /// fires, any later send on that channel arrives at now + latency >= every
-/// past arrival, so the entry is retired (its map node is recycled to keep
-/// the steady state allocation-free). NetworkStats::peak_channels records
-/// the high-water mark of live channels.
+/// past arrival, so the entry is retired and its ChannelTable slot empties.
+/// The table never shrinks, so the steady state is allocation-free.
+/// NetworkStats::peak_channels records the high-water mark of live channels.
+///
+/// Each send asks the latency model for one topo::Route — latency, hop
+/// count and same-node bit from a single read of both ranks' coordinates.
+/// send, enqueue and the delivery functor take the message by rvalue
+/// reference, so between the sender and the receiver only the slab pool
+/// moves it.
 ///
 /// Fault injection (DESIGN.md §10): with a fault::Injector attached, each
 /// send first asks the injector for a plan. A dropped message is still
@@ -162,7 +280,7 @@ inline support::SimTime congestion_window(const CongestionParams& congestion,
 /// past barriers, so the loads it sees — and hence every latency — are
 /// identical to the serial run's.
 template <typename Message,
-          typename Deliver = std::function<void(topo::Rank, Message)>>
+          typename Deliver = std::function<void(topo::Rank, Message&&)>>
 class Network final : public EventSink {
  public:
   /// Shard routing seam. `is_remote` classifies a destination rank;
@@ -175,7 +293,7 @@ class Network final : public EventSink {
     virtual bool is_remote(topo::Rank dst) const = 0;
     virtual void post(topo::Rank dst, support::SimTime arrival,
                       support::SimTime t_sched, topo::Rank src,
-                      Message msg) = 0;
+                      Message&& msg) = 0;
 
    protected:
     ~Router() = default;
@@ -224,7 +342,7 @@ class Network final : public EventSink {
   /// Send `msg` of `bytes` payload bytes from `src` to `dst` (src != dst).
   /// `cls` declares the message's loss semantics to the fault injector; it
   /// is ignored when no injector is attached.
-  void send(topo::Rank src, topo::Rank dst, Message msg, std::uint32_t bytes,
+  void send(topo::Rank src, topo::Rank dst, Message&& msg, std::uint32_t bytes,
             fault::MsgClass cls = fault::MsgClass::kReliable) {
     DWS_CHECK(src != dst);
     if (faults_ != nullptr && faults_->enabled()) {
@@ -234,7 +352,7 @@ class Network final : public EventSink {
         // The send still happened from the sender's point of view: count it
         // so send-side ledgers (audit) and NetworkStats agree, but schedule
         // no delivery and load no links.
-        count_message(src, dst, bytes);
+        count_message(bytes, latency_->layout().same_node(src, dst));
         return;
       }
       if (plan.duplicate) {
@@ -255,7 +373,7 @@ class Network final : public EventSink {
   void on_event(const Event& ev) override {
     InFlight flight = in_flight_.take(ev.payload);
     if (flight.channel != kRemoteChannel) {
-      retire_channel(flight.channel);
+      channels_.retire(flight.channel);
     }
     deliver_(static_cast<topo::Rank>(ev.rank), std::move(flight.msg));
   }
@@ -273,7 +391,7 @@ class Network final : public EventSink {
   /// event counts shard-invariant.
   void accept_remote(support::SimTime arrival, support::SimTime t_sched,
                      std::uint32_t origin, topo::Rank src, topo::Rank dst,
-                     Message msg) {
+                     Message&& msg) {
     const std::uint32_t handle =
         in_flight_.acquire(InFlight{std::move(msg), kRemoteChannel});
     engine_->inject(arrival, t_sched, origin, src, *this,
@@ -284,12 +402,12 @@ class Network final : public EventSink {
   /// passed. Called by the sharded run loop at window boundaries. Holding an
   /// entry longer is always safe — once now >= arrival, clamping a future
   /// send against that arrival is a no-op — so laziness affects only the
-  /// channel map's size, never an arrival time.
+  /// channel table's size, never an arrival time.
   void flush_retirements() {
     while (!retire_heap_.empty() &&
            retire_heap_.front().first <= engine_->now()) {
       std::pop_heap(retire_heap_.begin(), retire_heap_.end(), RetireLater{});
-      retire_channel(retire_heap_.back().second);
+      channels_.retire(retire_heap_.back().second);
       retire_heap_.pop_back();
     }
   }
@@ -299,20 +417,14 @@ class Network final : public EventSink {
   std::size_t active_channels() const noexcept { return channels_.size(); }
 
  private:
-  struct Channel {
-    support::SimTime last_arrival = 0;
-    std::uint32_t in_flight = 0;
-  };
   struct InFlight {
     Message msg;
     std::uint64_t channel = 0;
   };
-  using ChannelMap = std::unordered_map<std::uint64_t, Channel>;
 
-  /// Channel key of a flight accepted from another shard. Real keys are
-  /// (src << 32) | dst with 32-bit ranks below UINT32_MAX, so the all-ones
-  /// key is never a live channel.
-  static constexpr std::uint64_t kRemoteChannel = ~std::uint64_t{0};
+  /// Channel key of a flight accepted from another shard: the all-ones key,
+  /// never a live channel (see ChannelTable).
+  static constexpr std::uint64_t kRemoteChannel = ChannelTable::kEmptyKey;
 
   /// Most window boundaries one flight may load. A saturated (clamped)
   /// latency spans ~4e18 ns; without a cap that single flight would fold
@@ -370,12 +482,12 @@ class Network final : public EventSink {
 
   /// One actual delivery: congested latency, fault latency multiplier,
   /// channel clamp, stats, and the kNetworkDeliver event.
-  void enqueue(topo::Rank src, topo::Rank dst, Message msg,
+  void enqueue(topo::Rank src, topo::Rank dst, Message&& msg,
                std::uint32_t bytes, double latency_mult) {
-    support::SimTime latency =
-        latency_->message_latency(src, dst, bytes, engine_->now());
-    const bool congested =
-        congestion_.enabled && !latency_->layout().same_node(src, dst);
+    const topo::Route route =
+        latency_->route(src, dst, bytes, engine_->now());
+    support::SimTime latency = route.latency;
+    const bool congested = congestion_.enabled && !route.same_node;
     if (congested || latency_mult != 1.0) {
       double scaled = static_cast<double>(latency);
       if (congested) {
@@ -399,26 +511,22 @@ class Network final : public EventSink {
     DWS_CHECK(latency >= 0);
     DWS_CHECK(latency <=
               std::numeric_limits<support::SimTime>::max() - engine_->now());
-    support::SimTime arrival = engine_->now() + latency;
 
     // MPI non-overtaking: a later send on the same channel may not arrive
     // before an earlier one (possible here when a small message chases a
-    // large one). Clamp to the channel's previous arrival time.
+    // large one). The table clamps to the channel's previous arrival time.
     const std::uint64_t key = channel_key(src, dst);
-    if (const auto it = channels_.find(key); it != channels_.end()) {
-      if (arrival < it->second.last_arrival) arrival = it->second.last_arrival;
-      it->second.last_arrival = arrival;
-      ++it->second.in_flight;
-    } else {
-      open_channel(key, arrival);
-    }
+    const support::SimTime arrival =
+        channels_.admit(key, engine_->now() + latency);
+    stats_.peak_channels =
+        std::max(stats_.peak_channels,
+                 static_cast<std::uint64_t>(channels_.size()));
 
-    count_message(src, dst, bytes);
+    count_message(bytes, route.same_node);
     if (congested) {
       // Record against the clamped arrival: the flight occupies links until
       // it actually lands.
-      record_flight(engine_->now(), arrival,
-                    static_cast<double>(latency_->hops(src, dst)));
+      record_flight(engine_->now(), arrival, static_cast<double>(route.hops));
     }
 
     if (router_ != nullptr && router_->is_remote(dst)) {
@@ -437,35 +545,10 @@ class Network final : public EventSink {
                          handle, src);
   }
 
-  void count_message(topo::Rank src, topo::Rank dst, std::uint32_t bytes) {
+  void count_message(std::uint32_t bytes, bool same_node) {
     ++stats_.messages;
     stats_.bytes += bytes;
-    if (latency_->layout().same_node(src, dst)) ++stats_.intra_node_messages;
-  }
-
-  void open_channel(std::uint64_t key, support::SimTime arrival) {
-    if (spare_nodes_.empty()) {
-      channels_.emplace(key, Channel{arrival, 1});
-    } else {
-      // Recycle a retired map node: channel churn stays allocation-free.
-      auto node = std::move(spare_nodes_.back());
-      spare_nodes_.pop_back();
-      node.key() = key;
-      node.mapped() = Channel{arrival, 1};
-      channels_.insert(std::move(node));
-    }
-    stats_.peak_channels =
-        std::max(stats_.peak_channels,
-                 static_cast<std::uint64_t>(channels_.size()));
-  }
-
-  void retire_channel(std::uint64_t key) {
-    const auto it = channels_.find(key);
-    DWS_DCHECK(it != channels_.end());
-    DWS_DCHECK(it->second.in_flight > 0);
-    if (--it->second.in_flight == 0) {
-      spare_nodes_.push_back(channels_.extract(it));
-    }
+    if (same_node) ++stats_.intra_node_messages;
   }
 
   Engine* engine_;
@@ -483,8 +566,7 @@ class Network final : public EventSink {
   bool deferred_loads_ = false;
   std::vector<std::pair<std::uint64_t, double>> pending_loads_;
   NetworkStats stats_;
-  ChannelMap channels_;
-  std::vector<typename ChannelMap::node_type> spare_nodes_;
+  ChannelTable channels_;
   // (arrival, channel) of remote sends awaiting lazy retirement.
   std::vector<std::pair<support::SimTime, std::uint64_t>> retire_heap_;
   SlabPool<InFlight> in_flight_;

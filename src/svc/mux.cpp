@@ -10,7 +10,7 @@ namespace dws::svc {
 
 // ---- DeliverToMux ----------------------------------------------------------
 
-void DeliverToMux::operator()(topo::Rank dst, Envelope env) const {
+void DeliverToMux::operator()(topo::Rank dst, Envelope&& env) const {
   (*muxes)[dst]->on_envelope(std::move(env));
 }
 
@@ -217,7 +217,7 @@ support::SimTime JobBinding::drain_inbox() {
   return busy;
 }
 
-void JobBinding::on_proto(proto::Message msg, support::SimTime now) {
+void JobBinding::on_proto(proto::Message&& msg, support::SimTime now) {
   if (peer_.done()) return;
   if (peer_.active()) {
     // Mid-expansion: wait for the next poll boundary, like MPI messages
@@ -304,7 +304,7 @@ void MuxWorker::on_event(const sim::Event& ev) {
   }
 }
 
-void MuxWorker::on_envelope(Envelope env) {
+void MuxWorker::on_envelope(Envelope&& env) {
   const support::SimTime now = ctx_.engine->now();
   if (auto* msg = std::get_if<proto::Message>(&env.body)) {
     route_proto(env.job, std::move(*msg));
@@ -319,7 +319,7 @@ void MuxWorker::on_envelope(Envelope env) {
   }
 }
 
-void MuxWorker::route_proto(JobId job, proto::Message msg) {
+void MuxWorker::route_proto(JobId job, proto::Message&& msg) {
   const auto it = bindings_.find(job);
   if (it == bindings_.end()) {
     // Bindings are never destroyed, so no binding means the admit has not

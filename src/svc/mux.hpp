@@ -74,7 +74,7 @@ class MuxWorker;
 /// so delivery stays a direct call (same pattern as ws::DeliverToWorkers).
 struct DeliverToMux {
   std::vector<std::unique_ptr<MuxWorker>>* muxes = nullptr;
-  void operator()(topo::Rank dst, Envelope env) const;
+  void operator()(topo::Rank dst, Envelope&& env) const;
 };
 
 using SvcNetwork = sim::Network<Envelope, DeliverToMux>;
@@ -181,7 +181,7 @@ class JobBinding final : private proto::Transport {
   /// relinquishes it if parked), everyone else starts a discovery session.
   void start(support::SimTime now);
   void step();
-  void on_proto(proto::Message msg, support::SimTime now);
+  void on_proto(proto::Message&& msg, support::SimTime now);
   void on_lease(bool leased, topo::Rank handoff, support::SimTime now);
   void on_steal_timeout(std::uint32_t request_id, support::SimTime now);
   void on_token_timeout(std::uint32_t generation, support::SimTime now);
@@ -241,7 +241,7 @@ class MuxWorker final : public sim::EventSink {
 
   void on_event(const sim::Event& ev) override;
   /// Network delivery entry point.
-  void on_envelope(Envelope env);
+  void on_envelope(Envelope&& env);
   /// Direct-call forms of the control envelopes, used by the controller for
   /// its own rank (the network forbids self-sends).
   void admit(const JobAdmit& a, support::SimTime now);
@@ -261,7 +261,7 @@ class MuxWorker final : public sim::EventSink {
   std::size_t pending_messages() const noexcept;
 
  private:
-  void route_proto(JobId job, proto::Message msg);
+  void route_proto(JobId job, proto::Message&& msg);
 
   topo::Rank rank_;
   ServiceContext& ctx_;

@@ -60,38 +60,34 @@ std::uint64_t mix64(std::uint64_t z) {
 
 }  // namespace
 
-support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
-                                               std::uint32_t bytes) const {
+Route LatencyModel::route(Rank src, Rank dst, std::uint32_t bytes,
+                         bool sample, support::SimTime now) const {
+  const auto& machine = layout_->machine();
+  const TofuCoord& pc = layout_->coord_of(src);
+  const TofuCoord& qc = layout_->coord_of(dst);
   const auto serialization =
       static_cast<support::SimTime>(static_cast<double>(bytes) / params_.bytes_per_ns);
-  if (layout_->same_node(src, dst)) {
-    return params_.same_node + serialization;
+  Route r;
+  r.hops = machine.hops(pc, qc);
+  r.same_node = r.hops == 0;
+  if (r.same_node) {
+    r.latency = params_.same_node + serialization;
+  } else if (machine.same_blade(pc, qc)) {
+    r.latency = params_.same_blade + serialization;
+  } else if (sample) {
+    r.latency = sampled_distance(src, dst, bytes, now) + serialization;
+  } else {
+    r.latency = params_.network_base + params_.per_hop * (r.hops - 1) +
+                serialization;
   }
-  const auto& machine = layout_->machine();
-  const auto& pc = layout_->coord_of(src);
-  const auto& qc = layout_->coord_of(dst);
-  if (machine.same_blade(pc, qc)) {
-    return params_.same_blade + serialization;
-  }
-  const std::int32_t h = machine.hops(pc, qc);
-  return params_.network_base + params_.per_hop * (h - 1) + serialization;
+  return r;
 }
 
-support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
-                                               std::uint32_t bytes,
-                                               support::SimTime now) const {
-  if (!params_.sampling_enabled() || layout_->same_node(src, dst)) {
-    return message_latency(src, dst, bytes);
-  }
-  const auto& machine = layout_->machine();
-  if (machine.same_blade(layout_->coord_of(src), layout_->coord_of(dst))) {
-    return message_latency(src, dst, bytes);
-  }
-  // Network tier with the empirical backend on: replace the distance term by
-  // an inverse-CDF draw over the measured bins. Two mix rounds decorrelate
-  // the structured inputs (seed, channel, time, size).
-  const auto serialization =
-      static_cast<support::SimTime>(static_cast<double>(bytes) / params_.bytes_per_ns);
+support::SimTime LatencyModel::sampled_distance(Rank src, Rank dst,
+                                                std::uint32_t bytes,
+                                                support::SimTime now) const {
+  // Two mix rounds decorrelate the structured inputs (seed, channel, time,
+  // size).
   std::uint64_t h = params_.sample_seed;
   h = mix64(h ^ (static_cast<std::uint64_t>(src) << 32 | dst));
   h = mix64(h ^ static_cast<std::uint64_t>(now));
@@ -108,16 +104,23 @@ support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
       const double span = static_cast<double>(bin.hi - bin.lo);
       const double draw = static_cast<double>(bin.lo) +
                           std::clamp(frac, 0.0, 1.0) * span;
-      return static_cast<support::SimTime>(draw) + serialization;
+      return static_cast<support::SimTime>(draw);
     }
     cum += w;
   }
-  return message_latency(src, dst, bytes);  // unreachable: back bin matched
+  DWS_CHECK(false);  // unreachable: the back bin always matches
+  return 0;
 }
 
-std::int32_t LatencyModel::hops(Rank r1, Rank r2) const {
-  if (layout_->same_node(r1, r2)) return 0;
-  return layout_->machine().hops(layout_->coord_of(r1), layout_->coord_of(r2));
+support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
+                                               std::uint32_t bytes) const {
+  return route(src, dst, bytes, false, 0).latency;
+}
+
+support::SimTime LatencyModel::message_latency(Rank src, Rank dst,
+                                               std::uint32_t bytes,
+                                               support::SimTime now) const {
+  return route(src, dst, bytes, now).latency;
 }
 
 double LatencyModel::euclidean(Rank r1, Rank r2) const {

@@ -55,6 +55,15 @@ struct LatencyParams {
 std::vector<LatencySampleBin> sample_bins_from_histogram(
     const support::Histogram& h);
 
+/// What one message's trip costs and how far it goes: the one-way latency,
+/// the hop count between the ranks' nodes (0 when co-located) and whether
+/// both ranks share a node. sim::Network needs all three per send.
+struct Route {
+  support::SimTime latency = 0;
+  std::int32_t hops = 0;
+  bool same_node = false;
+};
+
 /// Computes message latency and victim-selection distances between ranks of
 /// one job. Stateless beyond cached coordinates: O(1) memory per query, no
 /// N x N tables (important when simulating 8192 ranks in-process).
@@ -67,15 +76,27 @@ class LatencyModel {
   support::SimTime message_latency(Rank src, Rank dst,
                                    std::uint32_t bytes) const;
 
-  /// Time-aware overload used by sim::Network: identical to the 3-arg form
-  /// unless the empirical sampling backend is enabled, in which case `now`
-  /// (the virtual send time) salts the per-message draw. Keeping the 3-arg
-  /// form bit-unchanged keeps every existing golden stable.
+  /// Time-aware overload: identical to the 3-arg form unless the empirical
+  /// sampling backend is enabled, in which case `now` (the virtual send
+  /// time) salts the per-message draw. Keeping the 3-arg form bit-unchanged
+  /// keeps every existing golden stable.
   support::SimTime message_latency(Rank src, Rank dst, std::uint32_t bytes,
                                    support::SimTime now) const;
 
+  /// sim::Network's per-send query: the time-aware latency (as the 4-arg
+  /// message_latency), the hop count and the same-node bit, from one read of
+  /// each rank's coordinate. Both ranks sit on one node exactly when their
+  /// coordinates are equal, i.e. when the hop count is 0.
+  Route route(Rank src, Rank dst, std::uint32_t bytes,
+              support::SimTime now) const {
+    return route(src, dst, bytes, params_.sampling_enabled(), now);
+  }
+
   /// Hop count between the ranks' nodes (0 when co-located).
-  std::int32_t hops(Rank r1, Rank r2) const;
+  std::int32_t hops(Rank r1, Rank r2) const {
+    return layout_->machine().hops(layout_->coord_of(r1),
+                                   layout_->coord_of(r2));
+  }
 
   /// 6D Euclidean distance between the ranks' nodes (0 when co-located) —
   /// the `e(i,j)` of the paper's victim weight.
@@ -89,6 +110,15 @@ class LatencyModel {
   const LatencyParams& params() const noexcept { return params_; }
 
  private:
+  /// The one latency formula behind route() and both message_latency
+  /// overloads; `sample` selects the empirical draw for the network tier.
+  Route route(Rank src, Rank dst, std::uint32_t bytes, bool sample,
+              support::SimTime now) const;
+  /// Inverse-CDF draw over sample_bins, replacing the network-tier distance
+  /// term (network_base + per_hop * (h-1)).
+  support::SimTime sampled_distance(Rank src, Rank dst, std::uint32_t bytes,
+                                    support::SimTime now) const;
+
   const JobLayout* layout_;
   LatencyParams params_;
 };

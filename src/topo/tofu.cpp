@@ -58,25 +58,6 @@ std::uint32_t TofuMachine::rack_of(const TofuCoord& c) const {
   return static_cast<std::uint32_t>((c.x * ny_ + c.y) * racks_per_column + rack_z);
 }
 
-bool TofuMachine::same_cube(const TofuCoord& p, const TofuCoord& q) const {
-  return p.x == q.x && p.y == q.y && p.z == q.z;
-}
-
-bool TofuMachine::same_blade(const TofuCoord& p, const TofuCoord& q) const {
-  // A blade is the set of four nodes of a cube sharing the b coordinate.
-  return same_cube(p, q) && p.b == q.b;
-}
-
-std::int32_t TofuMachine::torus_delta(std::int32_t d, std::int32_t extent) const {
-  if (d < 0) d = -d;
-  return d <= extent - d ? d : extent - d;
-}
-
-std::int32_t TofuMachine::hops(const TofuCoord& p, const TofuCoord& q) const {
-  return torus_delta(p.x - q.x, nx_) + torus_delta(p.y - q.y, ny_) +
-         torus_delta(p.z - q.z, nz_) + std::abs(p.a - q.a) +
-         std::abs(p.b - q.b) + std::abs(p.c - q.c);
-}
 
 double TofuMachine::euclidean(const TofuCoord& p, const TofuCoord& q) const {
   const double dx = torus_delta(p.x - q.x, nx_);

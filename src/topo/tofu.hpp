@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 namespace dws::topo {
@@ -57,19 +58,31 @@ class TofuMachine {
   /// "one dimension for the rack ... and two across racks").
   std::uint32_t rack_of(const TofuCoord& c) const;
 
-  bool same_blade(const TofuCoord& p, const TofuCoord& q) const;
-  bool same_cube(const TofuCoord& p, const TofuCoord& q) const;
+  /// A blade is the set of four nodes of a cube sharing the b coordinate.
+  bool same_blade(const TofuCoord& p, const TofuCoord& q) const {
+    return same_cube(p, q) && p.b == q.b;
+  }
+  bool same_cube(const TofuCoord& p, const TofuCoord& q) const {
+    return p.x == q.x && p.y == q.y && p.z == q.z;
+  }
 
   /// Network hops between two nodes: torus distance (with wraparound) in
   /// x/y/z plus mesh distance in a/b/c. A node is 0 hops from itself.
-  std::int32_t hops(const TofuCoord& p, const TofuCoord& q) const;
+  std::int32_t hops(const TofuCoord& p, const TofuCoord& q) const {
+    return torus_delta(p.x - q.x, nx_) + torus_delta(p.y - q.y, ny_) +
+           torus_delta(p.z - q.z, nz_) + std::abs(p.a - q.a) +
+           std::abs(p.b - q.b) + std::abs(p.c - q.c);
+  }
 
   /// Euclidean distance over the 6 coordinates (torus-wrapped deltas in
   /// x/y/z) — the distance the paper feeds into the skewed victim weights.
   double euclidean(const TofuCoord& p, const TofuCoord& q) const;
 
  private:
-  std::int32_t torus_delta(std::int32_t d, std::int32_t extent) const;
+  std::int32_t torus_delta(std::int32_t d, std::int32_t extent) const {
+    if (d < 0) d = -d;
+    return d <= extent - d ? d : extent - d;
+  }
 
   std::int32_t nx_;
   std::int32_t ny_;

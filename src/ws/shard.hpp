@@ -74,7 +74,7 @@ class ShardRouter final : public sim::Network<Message, Deliver>::Router {
     return (*shard_of_rank_)[dst] != my_shard_;
   }
   void post(topo::Rank dst, support::SimTime arrival, support::SimTime t_sched,
-            topo::Rank src, Message msg) override {
+            topo::Rank src, Message&& msg) override {
     row_[(*shard_of_rank_)[dst]].entries.push_back(
         MailEntry<Message>{arrival, t_sched, src, dst, std::move(msg)});
   }

@@ -7,7 +7,8 @@
 
 namespace dws::ws {
 
-void DeliverToWorkers::operator()(topo::Rank dst, proto::Message msg) const {
+void DeliverToWorkers::operator()(topo::Rank dst,
+                                  proto::Message&& msg) const {
   (*workers)[dst]->on_message(std::move(msg));
 }
 
@@ -183,7 +184,7 @@ support::SimTime Worker::drain_inbox() {
   return busy;
 }
 
-void Worker::on_message(proto::Message msg) {
+void Worker::on_message(proto::Message&& msg) {
   if (peer_.done()) return;
   if (peer_.active()) {
     // One-sided steals bypass the victim's polling loop entirely: the

@@ -27,7 +27,7 @@ class Worker;
 /// (not std::function) so Network's delivery dispatch is a direct call.
 struct DeliverToWorkers {
   std::vector<std::unique_ptr<Worker>>* workers = nullptr;
-  void operator()(topo::Rank dst, proto::Message msg) const;
+  void operator()(topo::Rank dst, proto::Message&& msg) const;
 };
 
 /// The run's transport, typed on the direct-call delivery functor.
@@ -110,7 +110,7 @@ class Worker final : public sim::EventSink, private proto::Transport {
   void on_event(const sim::Event& ev) override;
 
   /// Network delivery entry point.
-  void on_message(proto::Message msg);
+  void on_message(proto::Message&& msg);
 
   const metrics::RankStats& stats() const noexcept { return peer_.stats(); }
   const metrics::RankTrace& trace() const noexcept { return peer_.trace(); }
