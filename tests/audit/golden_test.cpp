@@ -1,29 +1,45 @@
-/// Committed-golden regression test: the fig06 quick sweep, run under the
-/// audit observer, must reproduce tests/golden/fig06_quick.jsonl BYTE FOR
-/// BYTE. The file was generated on the pre-refactor closure event core, so
-/// this pins the typed event core (calendar queue, slab pools, EventSink
-/// dispatch) to the exact (time, seq) schedule — and with it every counter,
-/// trace, and metric — of the original engine.
+/// Committed-golden regression tests: generated record streams must
+/// reproduce files under tests/golden BYTE FOR BYTE.
 ///
-/// The records are written in schema v1 compatibility mode, matching the
-/// version the file was generated with; v2's extra fields would otherwise
-/// change the bytes without changing the simulation.
+///  - fig06_quick.jsonl: the fig06 quick sweep under the audit observer. The
+///    file was generated on the pre-refactor closure event core, so this pins
+///    the typed event core (calendar queue, slab pools, EventSink dispatch)
+///    to the exact (time, seq) schedule — and with it every counter, trace,
+///    and metric — of the original engine. Its records are written in schema
+///    v1 compatibility mode, matching the version the file was generated
+///    with; later versions' extra fields would otherwise change the bytes
+///    without changing the simulation.
+///  - executor_matrix.jsonl: the executor paths fig06 never reaches —
+///    lifelines, one-sided steals, the full fault model with its timers,
+///    adaptive selection with amount switching, hierarchical selection, and
+///    two service streams. Each config runs at sim_shards 1 and 3, the two
+///    renderings must be identical, and each record is followed by a line of
+///    SHA-1 digests over the per-rank counters and the activity trace, which
+///    records do not carry.
 ///
 /// To regenerate after an *intentional* semantic change, run this binary
 /// with DWS_UPDATE_GOLDEN=1 in the environment and commit the diff with an
 /// explanation of why the schedule legitimately changed.
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audit/audit.hpp"
+#include "crypto/sha1.hpp"
 #include "exp/figures.hpp"
 #include "exp/record.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "metrics/export.hpp"
+#include "topo/allocation.hpp"
 #include "uts/params.hpp"
 
 #ifndef DWS_GOLDEN_DIR
@@ -33,8 +49,8 @@
 namespace dws::audit {
 namespace {
 
-std::string golden_path() {
-  return std::string(DWS_GOLDEN_DIR) + "/fig06_quick.jsonl";
+std::string golden_path(const std::string& name) {
+  return std::string(DWS_GOLDEN_DIR) + "/" + name;
 }
 
 /// The fig06 --quick sweep: SIM200K, ranks {128, 256}, the paper's four
@@ -71,28 +87,30 @@ std::string generate_records() {
   return out.str();
 }
 
-TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
-  const std::string generated = generate_records();
+/// Compares `generated` with the committed golden `name`, or rewrites the
+/// golden when DWS_UPDATE_GOLDEN is set.
+void expect_matches_golden(const std::string& name,
+                           const std::string& generated) {
   ASSERT_FALSE(generated.empty());
+  const std::string path = golden_path(name);
 
   if (std::getenv("DWS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path(), std::ios::binary);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << golden_path();
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
     out << generated;
-    GTEST_SKIP() << "regenerated " << golden_path();
+    GTEST_SKIP() << "regenerated " << path;
   }
 
-  std::ifstream in(golden_path(), std::ios::binary);
+  std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.is_open())
-      << "missing " << golden_path()
-      << " (run with DWS_UPDATE_GOLDEN=1 to create it)";
+      << "missing " << path << " (run with DWS_UPDATE_GOLDEN=1 to create it)";
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string expected = buf.str();
 
   ASSERT_EQ(generated.size(), expected.size())
       << "record stream length changed — the event schedule is no longer "
-         "identical to the committed golden";
+         "identical to the committed golden " << name;
   // Byte compare with a readable first-divergence report.
   if (generated != expected) {
     std::size_t line = 1, col = 1;
@@ -105,9 +123,160 @@ TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
         ++col;
       }
     }
-    FAIL() << "golden mismatch first diverges at line " << line << ", column "
-           << col;
+    FAIL() << name << " mismatch first diverges at line " << line
+           << ", column " << col;
   }
+}
+
+/// SHA-1 of `text` as hex.
+std::string sha1_hex(const std::string& text) {
+  return crypto::to_hex(crypto::Sha1::digest(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(text.data()), text.size())));
+}
+
+/// Every per-rank counter, one rank per line.
+std::string per_rank_text(const std::vector<metrics::RankStats>& ranks) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const metrics::RankStats& s : ranks) {
+    out << s.nodes_processed << ' ' << s.leaves_seen << ' '
+        << s.steal_attempts << ' ' << s.failed_steals << ' '
+        << s.successful_steals << ' ' << s.requests_served << ' '
+        << s.chunks_sent << ' ' << s.chunks_received << ' '
+        << s.steal_timeouts << ' ' << s.steal_retries << ' '
+        << s.duplicate_responses << ' ' << s.token_regens << ' '
+        << s.amount_switches << ' ' << s.steal_distance_sum << ' '
+        << s.lifeline_registrations << ' ' << s.lifeline_pushes << ' '
+        << s.sessions << ' ' << s.total_session_time << ' '
+        << s.total_search_time << ' ' << s.total_gather_time << ' '
+        << s.remote_inputs << ' ' << s.finish_time << '\n';
+  }
+  return out.str();
+}
+
+/// One config's record row(s) plus its digest line, wall-clock free.
+std::string render_point(const exp::SweepPoint& point,
+                         const ws::RunResult& result) {
+  exp::PointResult pr;
+  pr.index = point.index;
+  pr.ok = true;
+  pr.result = result;
+  std::ostringstream out;
+  exp::RecordWriter writer(out, exp::RecordOptions{exp::RecordFormat::kJsonl,
+                                                   /*wall_clock=*/false});
+  writer.write(point, pr);
+  out << "{\"config\":\"" << point.coords.front().second
+      << "\",\"per_rank_sha1\":\"" << sha1_hex(per_rank_text(result.per_rank))
+      << "\",\"trace_sha1\":\""
+      << sha1_hex(metrics::trace_to_csv(result.trace)) << "\"}\n";
+  return out.str();
+}
+
+ws::RunConfig matrix_base() {
+  ws::RunConfig cfg;
+  cfg.tree = uts::tree_by_name("TEST_BIN_SMALL");
+  cfg.num_ranks = 64;
+  cfg.ws.chunk_size = 4;
+  return cfg;
+}
+
+/// The full fault model with the recovery timers a lossy network needs.
+void add_faults(ws::RunConfig& cfg) {
+  cfg.fault.drop_prob = 0.02;
+  cfg.fault.dup_prob = 0.02;
+  cfg.fault.jitter_frac = 0.3;
+  cfg.fault.straggler_ranks = 2;
+  cfg.fault.pause_ranks = 2;
+  cfg.fault.pause_duration = 50'000;
+  cfg.fault.pause_window = 200'000;
+  cfg.fault.seed = 5;
+  cfg.ws.steal_timeout = 50'000;
+  cfg.ws.token_timeout = 2'000'000;
+}
+
+/// The executor matrix: each config run at sim_shards 1 and 3 under the
+/// audit, the two renderings required identical, the 1-shard one kept.
+std::string generate_executor_matrix() {
+  using Mutation = std::function<void(ws::RunConfig&)>;
+  const std::vector<std::pair<std::string, Mutation>> configs = {
+      {"lifeline",
+       [](ws::RunConfig& c) { c.ws.idle_policy = ws::IdlePolicy::kLifeline; }},
+      {"one-sided", [](ws::RunConfig& c) { c.ws.one_sided_steals = true; }},
+      {"lifeline+one-sided",
+       [](ws::RunConfig& c) {
+         c.ws.idle_policy = ws::IdlePolicy::kLifeline;
+         c.ws.one_sided_steals = true;
+       }},
+      {"faults", add_faults},
+      {"adaptive+amount",
+       [](ws::RunConfig& c) {
+         c.ws.victim_policy = ws::VictimPolicy::kAdaptive;
+         c.ws.steal_amount = ws::StealAmount::kHalf;
+         c.ws.adaptive_steal_amount = true;
+       }},
+      {"hierarchical-8G",
+       [](ws::RunConfig& c) {
+         c.ws.victim_policy = ws::VictimPolicy::kHierarchical;
+         c.placement = topo::Placement::kGrouped;
+         c.procs_per_node = 8;
+       }},
+      {"svc-space-faults",
+       [](ws::RunConfig& c) {
+         c.svc.enabled = true;
+         c.svc.seed = 4;
+         c.svc.arrival = svc::ArrivalKind::kPoisson;
+         c.svc.num_jobs = 4;
+         c.svc.mean_interarrival = 400'000;
+         c.svc.alloc = svc::AllocPolicy::kSpaceShare;
+         c.svc.ranks_per_job = 32;
+         add_faults(c);
+       }},
+      {"svc-time",
+       [](ws::RunConfig& c) {
+         c.svc.enabled = true;
+         c.svc.seed = 4;
+         c.svc.arrival = svc::ArrivalKind::kTrace;
+         c.svc.trace = {0, 200'000, 400'000, 600'000};
+         c.svc.alloc = svc::AllocPolicy::kTimeShare;
+       }},
+  };
+
+  std::ostringstream out;
+  exp::RecordWriter(out, exp::RecordOptions{exp::RecordFormat::kJsonl,
+                                            /*wall_clock=*/false})
+      .write_header();
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    exp::SweepPoint point;
+    point.index = i;
+    point.coords = {{"config", configs[i].first}};
+    point.config = matrix_base();
+    configs[i].second(point.config);
+    EXPECT_TRUE(point.config.validate().is_ok()) << configs[i].first;
+
+    std::string rendered[2];
+    const std::uint32_t shard_counts[2] = {1, 3};
+    for (int k = 0; k < 2; ++k) {
+      ws::RunConfig cfg = point.config;
+      cfg.sim_shards = shard_counts[k];
+      const ws::RunResult result = checked_run(cfg);
+      if (k == 1) {
+        EXPECT_GT(result.shards_used, 1u) << configs[i].first;
+      }
+      rendered[k] = render_point(point, result);
+    }
+    EXPECT_EQ(rendered[0], rendered[1])
+        << configs[i].first << " differs between sim_shards 1 and 3";
+    out << rendered[0];
+  }
+  return out.str();
+}
+
+TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
+  expect_matches_golden("fig06_quick.jsonl", generate_records());
+}
+
+TEST(GoldenFile, ExecutorMatrixIsByteIdenticalAcrossShards) {
+  expect_matches_golden("executor_matrix.jsonl", generate_executor_matrix());
 }
 
 }  // namespace
