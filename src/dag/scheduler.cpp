@@ -22,7 +22,7 @@ using Message = std::variant<StealRequest, StealResponse>;
 
 class DagWorker;
 
-/// Direct-call delivery functor (mirrors ws::DeliverToWorkers).
+/// Direct-call delivery functor (the pattern of svc::DeliverToMux).
 struct DeliverToDagWorkers {
   std::vector<std::unique_ptr<DagWorker>>* workers = nullptr;
   void operator()(topo::Rank dst, Message&& msg) const;

@@ -111,8 +111,8 @@ struct SendPlan {
 };
 
 /// The deterministic fault injector: one per run (or one per shard — see
-/// below), shared by sim::Network (message faults) and ws::Worker
-/// (stragglers and pauses). plan_send advances only the *channel's* send
+/// below), shared by sim::Network (message faults) and the executor's job
+/// bindings (stragglers and pauses). plan_send advances only the *channel's* send
 /// sequence, so a plan depends on nothing but (seed, channel, how many
 /// sends that channel has seen) — the interleaving of different channels
 /// is irrelevant. Straggler and pause assignments are pure functions of

@@ -14,9 +14,10 @@ namespace dws::proto {
 /// interface; it never schedules events or touches threads itself.
 ///
 /// Two bindings exist (DESIGN.md §11):
-///  - ws::Worker adapts it onto the discrete-event simulator: send() enters
-///    sim::Network, timers become kStealTimeout/kTokenTimeout events, and
-///    the clock is the engine's virtual time;
+///  - svc::JobBinding, the simulator's one executor (single-job runs and
+///    service streams alike), adapts it onto the discrete-event simulator:
+///    send() enters sim::Network, timers become kStealTimeout/kTokenTimeout
+///    events, and the clock is the engine's virtual time;
 ///  - rt::RankExecutor adapts it onto real threads: send() pushes onto the
 ///    destination's MPSC channel, timers are deadlines polled by the rank
 ///    loop, and the clock is a shared steady_clock epoch.

@@ -13,18 +13,21 @@ class EventSink;
 /// tests and examples); every other kind belongs to the EventSink that
 /// scheduled it, which decodes `rank`/`payload` accordingly. Keeping the
 /// full table in one place documents the event model and keeps kinds unique
-/// across layers, even though sim/ never dispatches the ws/dag ones.
+/// across layers, even though sim/ never dispatches the executor/dag ones.
+/// The executor kinds (kWorkerStart .. kTokenTimeout) are scheduled by and
+/// dispatched to one svc::JobBinding — a job's presence on one rank — in
+/// single-job runs and service streams alike.
 enum class EventKind : std::uint32_t {
   kGeneric = 0,       ///< engine-owned closure; payload = action-pool handle
   kNetworkDeliver,    ///< sim::Network: rank = dst, payload = in-flight handle
-  kWorkerStart,       ///< ws::Worker t = 0 bootstrap; rank = worker rank
-  kWorkerStep,        ///< ws::Worker poll/expand boundary; rank = worker rank
-  kDeferredResponse,  ///< ws::Worker packaged steal response leaving the rank;
-                      ///< payload = RunContext deferred-send pool handle
+  kWorkerStart,       ///< single-job t = 0 bootstrap; rank = global rank
+  kWorkerStep,        ///< poll/expand boundary; rank = global rank
+  kDeferredResponse,  ///< packaged steal response leaving the rank;
+                      ///< payload = shard deferred-send pool handle
   kDagStart,          ///< dag worker bootstrap; rank = worker rank
   kDagTaskComplete,   ///< dag task completion; payload = TaskId
-  kStealTimeout,      ///< ws::Worker steal-request timer; payload = request id
-  kTokenTimeout,      ///< ws::Worker rank-0 token timer; payload = generation
+  kStealTimeout,      ///< steal-request timer; payload = request id
+  kTokenTimeout,      ///< job-local rank-0 token timer; payload = generation
   kSvcArrival,        ///< svc::Controller job arrival; payload = job id. Lives
                       ///< only on the controller's shard (never crosses
                       ///< shards) and, being the largest kind, sorts after
@@ -72,8 +75,8 @@ struct Event {
                                    ///< kNetworkDeliver, 0 for every other kind
 };
 
-/// Receiver of typed events. Implemented by sim::Network, ws::Worker and
-/// dag's workers; the engine performs exactly one indirect call per typed
+/// Receiver of typed events. Implemented by sim::Network, svc::JobBinding,
+/// svc::Controller and dag's workers; the engine performs exactly one indirect call per typed
 /// event. Sinks are non-owning and must outlive every event they scheduled.
 class EventSink {
  public:

@@ -16,6 +16,10 @@
 #include "uts/params.hpp"
 #include "ws/config.hpp"
 
+namespace dws::proto {
+class RunObserver;
+}
+
 namespace dws::ws {
 
 /// Which engine executes a RunConfig: the discrete-event simulator (ws) or
@@ -152,15 +156,6 @@ struct RunResult {
   }
 };
 
-}  // namespace dws::ws
-
-namespace dws::proto {
-class RunObserver;
-}
-
-namespace dws::ws {
-using RunObserver = proto::RunObserver;
-
 /// Execute one full UTS work-stealing run on the simulator. Deterministic:
 /// equal RunConfigs produce bit-identical results — with or without an
 /// `observer` attached (observers are passive; see observer.hpp and the
@@ -168,6 +163,6 @@ using RunObserver = proto::RunObserver;
 /// conservation — termination with unfinished work, lost chunks, or a worker
 /// left in a non-terminated state.
 RunResult run_simulation(const RunConfig& config,
-                         RunObserver* observer = nullptr);
+                         proto::RunObserver* observer = nullptr);
 
 }  // namespace dws::ws
