@@ -5,10 +5,9 @@
 ///    file was generated on the pre-refactor closure event core, so this pins
 ///    the typed event core (calendar queue, slab pools, EventSink dispatch)
 ///    to the exact (time, seq) schedule — and with it every counter, trace,
-///    and metric — of the original engine. Its records are written in schema
-///    v1 compatibility mode, matching the version the file was generated
-///    with; later versions' extra fields would otherwise change the bytes
-///    without changing the simulation.
+///    and metric — of the original engine. The file was cut in schema v1
+///    and re-cut in v6 once the writer stopped emitting older versions;
+///    every v1 field was equal on all eight records across the re-cut.
 ///  - executor_matrix.jsonl: the executor paths fig06 never reaches —
 ///    lifelines, one-sided steals, the full fault model with its timers,
 ///    adaptive selection with amount switching, hierarchical selection, and
@@ -16,6 +15,9 @@
 ///    renderings must be identical, and each record is followed by a line of
 ///    SHA-1 digests over the per-rank counters and the activity trace, which
 ///    records do not carry.
+///  - record_writer.jsonl / record_writer.csv: the writer's bytes in both
+///    formats for three hand-built points (quoting, escaping, failed and
+///    service rows, wall clock off and on), independent of the simulator.
 ///
 /// To regenerate after an *intentional* semantic change, run this binary
 /// with DWS_UPDATE_GOLDEN=1 in the environment and commit the diff with an
@@ -78,11 +80,9 @@ std::string generate_records() {
       exp::SweepRunner(options).run(expanded.value());
   EXPECT_TRUE(report.all_ok());
 
-  exp::RecordOptions record_options{exp::RecordFormat::kJsonl,
-                                    /*wall_clock=*/false};
-  record_options.schema_version = 1;  // the version the golden was cut at
   std::ostringstream out;
-  exp::RecordWriter writer(out, record_options);
+  exp::RecordWriter writer(out, exp::RecordOptions{exp::RecordFormat::kJsonl,
+                                                   /*wall_clock=*/false});
   writer.write_report(expanded.value(), report);
   return out.str();
 }
@@ -269,6 +269,112 @@ std::string generate_executor_matrix() {
     out << rendered[0];
   }
   return out.str();
+}
+
+/// A hand-built single-job result: every field the writer reads is set to a
+/// fixed value, so the stream (wall_s included) never changes.
+exp::PointResult fixed_result(std::size_t index) {
+  exp::PointResult pr;
+  pr.index = index;
+  pr.ok = true;
+  ws::RunResult& r = pr.result;
+  r.runtime = 1'234'567;
+  r.nodes = 4321;
+  r.leaves = 2000;
+  r.num_ranks = 8;
+  r.per_node_cost = 2'500;
+  r.stats.steal_attempts = 90;
+  r.stats.failed_steals = 70;
+  r.stats.successful_steals = 20;
+  r.stats.sessions = 22;
+  r.stats.mean_session_ms = 0.0123456789012;
+  r.stats.mean_search_time_s = 0.000321;
+  r.stats.mean_steal_distance = 1.75;
+  r.stats.steal_timeouts = 5;
+  r.stats.steal_retries = 4;
+  r.stats.token_regens = 2;
+  r.network.messages = 400;
+  r.network.bytes = 12'345;
+  r.network.peak_channels = 13;
+  r.engine_events = 9876;
+  r.engine_peak_pending = 77;
+  r.faults.dropped_messages = 9;
+  r.faults.duplicated_messages = 3;
+  pr.wall_seconds = 1.25;
+  return pr;
+}
+
+/// Three points that reach every writer branch — an ok single-job point
+/// whose coord value needs quoting, a failed point whose error needs
+/// escaping, a service point with two job rows — each written with the wall
+/// clock off, then on.
+std::string generate_writer_stream(exp::RecordFormat format) {
+  std::vector<exp::SweepPoint> points(3);
+  exp::SweepReport report;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].index = i;
+    points[i].config = matrix_base();
+    points[i].config.num_ranks = 8;
+    report.points.push_back(fixed_result(i));
+  }
+  points[0].coords = {{"series", "Rand, \"8G\""}, {"ranks", "8"}};
+
+  points[1].coords = {{"series", "broken"}, {"ranks", "3"}};
+  points[1].config.num_ranks = 3;
+  report.points[1] = exp::PointResult{};
+  report.points[1].index = 1;
+  report.points[1].error = "bad \"x\", y\nz\x01w";
+  report.points[1].wall_seconds = 0.5;
+
+  points[2].coords = {{"alloc", "space"}};
+  ws::RunConfig& service = points[2].config;
+  service.svc.enabled = true;
+  service.svc.seed = 4;
+  service.svc.num_jobs = 2;
+  service.svc.alloc = svc::AllocPolicy::kSpaceShare;
+  service.svc.ranks_per_job = 4;
+  metrics::JobOutcome a;
+  a.job_id = 0;
+  a.tree = "TEST_BIN_TINY";
+  a.root_seed = 777;
+  a.width = 4;
+  a.admit = 1'000'000;
+  a.first_compute = 2'000'000;
+  a.finish = 10'000'000;
+  a.nodes = 60;
+  a.leaves = 30;
+  a.steal_attempts = 12;
+  a.successful_steals = 7;
+  metrics::JobOutcome b = a;
+  b.job_id = 1;
+  b.tree = "TEST,\"TINY\"";
+  b.base = 4;
+  b.arrival = 3'000'000;
+  b.admit = 5'000'000;
+  b.first_compute = 5'500'000;
+  b.finish = 23'456'789;
+  b.nodes = 40;
+  b.leaves = 20;
+  report.points[2].result.jobs = {a, b};
+
+  std::string stream;
+  for (const bool wall_clock : {false, true}) {
+    std::ostringstream out;
+    exp::RecordWriter(out, exp::RecordOptions{format, wall_clock})
+        .write_report(points, report);
+    stream += out.str();
+  }
+  return stream;
+}
+
+TEST(GoldenFile, RecordWriterJsonlBytes) {
+  expect_matches_golden("record_writer.jsonl",
+                        generate_writer_stream(exp::RecordFormat::kJsonl));
+}
+
+TEST(GoldenFile, RecordWriterCsvBytes) {
+  expect_matches_golden("record_writer.csv",
+                        generate_writer_stream(exp::RecordFormat::kCsv));
 }
 
 TEST(GoldenFile, Fig06QuickIsByteIdenticalUnderAudit) {
