@@ -12,13 +12,13 @@
 
 namespace dws::exp {
 
-/// Structured result sink: one schema-versioned record per sweep point,
+/// Structured result sink: schema-versioned records of each sweep point,
 /// replacing the per-figure printf dialects. Two wire formats, same fields:
 ///
-///   JSONL — a meta line `{"schema":"dws.exp.sweep","version":2,...}`, then
-///           one JSON object per point;
-///   CSV   — a `# schema=dws.exp.sweep version=2` comment, a header row,
-///           then one row per point.
+///   JSONL — a meta line `{"schema":"dws.exp.sweep","version":6}`, then
+///           one JSON object per row;
+///   CSV   — a `# schema=dws.exp.sweep version=6` comment, a header row,
+///           then one line per row.
 ///
 /// Records are a pure function of (SweepPoint, PointResult): running the
 /// same spec with any thread count yields byte-identical output, except for
@@ -56,9 +56,9 @@ namespace dws::exp {
 ///       and work counters of that job). Single-job points emit exactly one
 ///       "run" row, so a v6 stream of a non-service sweep differs from v5
 ///       only by the new columns.
-/// RecordReader accepts all of them; RecordOptions::schema_version lets a
-/// writer emit an older version byte-for-byte (the golden-file tests pin a
-/// v1 stream, the compat tests v2..v5 streams).
+/// The writer emits only kRecordSchemaVersion; read_records accepts every
+/// version from kRecordMinSchemaVersion on (tests/golden/historical keeps a
+/// v1..v5 stream of each format).
 inline constexpr int kRecordSchemaVersion = 6;
 inline constexpr int kRecordMinSchemaVersion = 1;
 
@@ -67,10 +67,6 @@ enum class RecordFormat { kJsonl, kCsv };
 struct RecordOptions {
   RecordFormat format = RecordFormat::kJsonl;
   bool wall_clock = true;  ///< include per-point host cost (non-deterministic)
-  /// Schema version to emit; must be in
-  /// [kRecordMinSchemaVersion, kRecordSchemaVersion]. Older versions omit the
-  /// fields introduced after them, reproducing the historical byte stream.
-  int schema_version = kRecordSchemaVersion;
 };
 
 /// Canonical `key=value;...` serialization of every semantically meaningful
@@ -99,8 +95,8 @@ class RecordWriter {
   RecordOptions options_;
 };
 
-/// One parsed sweep record. Fields introduced by later schema versions are
-/// zero / empty when reading an older file.
+/// One record row, as written and as parsed. Fields introduced by later
+/// schema versions are zero / empty when reading an older file.
 struct SweepRecord {
   std::uint64_t index = 0;
   std::vector<std::pair<std::string, std::string>> coords;  // JSONL only
